@@ -71,24 +71,25 @@ bench-eval:
 	@echo "wrote BENCH_eval.json"
 
 ## bench-cluster: one distributed multiply through a three-worker loopback
-## cluster, by shard reference vs with operands shipped inline — written to
-## BENCH_cluster.json. Each record carries the coordinator's streaming-merge
-## high-water mark as a mergePeakB/op entry under "extra". BENCHTIME=1x for
-## a quick smoke.
+## cluster, by shard reference vs with operands inline as per-multiply
+## shards — written to BENCH_cluster.json. Each record carries the
+## coordinator's streaming-merge high-water mark as a mergePeakB/op entry
+## under "extra". BENCHTIME=1x for a quick smoke.
 bench-cluster:
 	$(GO) test -run '^$$' -bench '^BenchmarkCluster_' -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -o BENCH_cluster.json
 	@echo "wrote BENCH_cluster.json"
 
-## bench-compare: diff the current BENCH_kernels.json / BENCH_eval.json
-## against the committed baselines under bench/baselines/ and report
-## regressions beyond TOLERANCE percent (ns/op and extra metrics; allocs/op
-## is exact). Run bench-kernels / bench-eval first. Refresh the baselines
-## by copying the JSON files over bench/baselines/ from a quiet machine
-## with the default BENCHTIME.
+## bench-compare: diff the current BENCH_kernels.json / BENCH_eval.json /
+## BENCH_cluster.json against the committed baselines under
+## bench/baselines/ and report regressions beyond TOLERANCE percent (ns/op
+## and extra metrics; allocs/op is exact). Run bench-kernels / bench-eval /
+## bench-cluster first. Refresh the baselines by copying the JSON files
+## over bench/baselines/ from a quiet machine with the default BENCHTIME.
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare bench/baselines/BENCH_kernels.json -tolerance $(TOLERANCE) BENCH_kernels.json
 	$(GO) run ./cmd/benchjson -compare bench/baselines/BENCH_eval.json -tolerance $(TOLERANCE) BENCH_eval.json
+	$(GO) run ./cmd/benchjson -compare bench/baselines/BENCH_cluster.json -tolerance $(TOLERANCE) BENCH_cluster.json
 
 ## serve-smoke: build the real atserve binary and drive it over HTTP — one
 ## multiply + clean SIGTERM shutdown, then the kill -9 crash-recovery drill

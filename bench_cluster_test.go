@@ -4,8 +4,9 @@ package atmatrix
 // sharded against shipped. The sharded variant resolves operands by
 // (name, generation, shard) reference from the workers' stores — only
 // the task headers and the streamed partial products cross the wire —
-// while the shipped variant re-sends the operand bytes inline on every
-// multiply, the way unsharded matrices execute. `make bench-cluster`
+// while the shipped variant names operands without shard maps, so each
+// multiply cuts them into per-multiply shards that ride inline in every
+// exec frame, the way unsharded matrices execute. `make bench-cluster`
 // serializes both to BENCH_cluster.json; each record carries the
 // coordinator's streaming-merge high-water mark as a mergePeakB/op
 // metric, the number the reassembly window bounds.
@@ -108,7 +109,8 @@ func runClusterMultiply(b *testing.B, coord *cluster.Coordinator, aName, bName s
 }
 
 // BenchmarkCluster_Multiply: the same 1024² multiply through the same
-// three-worker cluster, by shard reference and by inline operand bytes.
+// three-worker cluster, by shard reference and by inline per-multiply
+// shards.
 // The spread between the two is the per-multiply cost of re-shipping
 // operands the workers could have kept.
 func BenchmarkCluster_Multiply(b *testing.B) {
@@ -122,7 +124,7 @@ func BenchmarkCluster_Multiply(b *testing.B) {
 	b.Run("sharded", func(b *testing.B) {
 		runClusterMultiply(b, coord, "A", "B", am, bm)
 	})
-	// Unsharded names take the wire-shipping path: operand bytes ride
+	// Unsharded names get per-multiply shard maps: their shards ride
 	// inline in every exec frame.
 	b.Run("shipped", func(b *testing.B) {
 		runClusterMultiply(b, coord, "A-inline", "B-inline", am, bm)

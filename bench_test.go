@@ -374,34 +374,6 @@ func BenchmarkAblation_Stealing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Runtime compares the persistent worker runtime (the
-// default) against the historical spawn-per-call ephemeral workers, on the
-// serving-loop workload of BenchmarkRepeatedMultiply. The persistent path
-// should win on both allocs/op and wall time.
-func BenchmarkAblation_Runtime(b *testing.B) {
-	f := getFixture(b, "R3")
-	for _, ephemeral := range []bool{false, true} {
-		name := "persistent"
-		if ephemeral {
-			name = "ephemeral"
-		}
-		cfg := f.cfg
-		cfg.EphemeralWorkers = ephemeral
-		b.Run(name, func(b *testing.B) {
-			if _, _, err := core.Multiply(f.am, f.am, cfg); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Multiply(f.am, f.am, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkDensityEstimator measures the SpMacho product estimator,
 // whose cost the paper reports as negligible (<0.1% of ATMULT).
 func BenchmarkDensityEstimator(b *testing.B) {

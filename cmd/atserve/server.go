@@ -273,9 +273,8 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		if s.coord != nil {
 			// Replicate the new matrix's tile-row shards across the cluster
 			// so multiplies reference them instead of shipping operands.
-			// Best-effort: an unsharded matrix still multiplies through the
-			// legacy wire-ship path, and the anti-entropy loop retries as
-			// workers come back.
+			// Best-effort: an unsharded matrix still multiplies, its shards
+			// cut for each multiply and carried inline in the exec requests.
 			s.coord.DropShards(r.Context(), name)
 			if serr := s.coord.ShardByName(r.Context(), name); serr != nil {
 				log.Printf("atserve: sharding %s across cluster: %v", name, serr)

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -62,8 +63,15 @@ func partition(t *testing.T, cfg core.Config, src *mat.COO) *core.ATMatrix {
 // closed at cleanup; tests that kill it earlier close it themselves.
 func startWorker(t *testing.T, cfg core.Config, wrap func(http.Handler) http.Handler) (string, *http.Server) {
 	t.Helper()
+	return serveWorker(t, NewWorker(cfg), wrap)
+}
+
+// serveWorker is startWorker over a caller-built worker, for tests that
+// inspect its shard store.
+func serveWorker(t *testing.T, w *Worker, wrap func(http.Handler) http.Handler) (string, *http.Server) {
+	t.Helper()
 	mux := http.NewServeMux()
-	NewWorker(cfg).Register(mux)
+	w.Register(mux)
 	var h http.Handler = mux
 	if wrap != nil {
 		h = wrap(mux)
@@ -125,11 +133,16 @@ func TestExecFrameRoundTrip(t *testing.T) {
 	cfg := testCfg()
 	a := partition(t, cfg, mat.RandomCOO(rng, 48, 32, 200))
 	b := partition(t, cfg, mat.RandomCOO(rng, 32, 40, 150))
-	aBytes := serializeATM(t, a)
-	bBytes := serializeATM(t, b)
-	hdr := execHeader{BAtomic: cfg.BAtomic, WriteThreshold: 0.25, SpGEMM: 1}
+	aData := serializeATM(t, a)
+	bData := serializeATM(t, b)
+	aRef := shardRef{ShardKey: ShardKey{Name: "a", Shard: 0}, CRC: core.ChecksumBytes(aData), Bytes: int64(len(aData))}
+	bRef := shardRef{ShardKey: ShardKey{Name: "b", Shard: 1}, CRC: core.ChecksumBytes(bData), Bytes: int64(len(bData)), TileIdx: []int{0}}
+	hdr := execHeader{
+		BAtomic: cfg.BAtomic, WriteThreshold: 0.25, SpGEMM: 1,
+		ARefs: []shardRef{aRef}, BRefs: []shardRef{bRef}, Inline: []shardRef{aRef, bRef},
+	}
 
-	r, n, err := execFrameReader(hdr, nil, aBytes, bBytes)
+	r, n, err := execFrameReader(hdr, [][]byte{aData, bData})
 	if err != nil {
 		t.Fatalf("execFrameReader: %v", err)
 	}
@@ -137,27 +150,31 @@ func TestExecFrameRoundTrip(t *testing.T) {
 	if m, err := frame.ReadFrom(r); err != nil || m != n {
 		t.Fatalf("frame read %d bytes (err %v), want %d", m, err, n)
 	}
-	gotHdr, _, am, bm, err := readExecFrame(&frame)
+	gotHdr, inline, err := readExecFrame(&frame)
 	if err != nil {
 		t.Fatalf("readExecFrame: %v", err)
 	}
-	if gotHdr.BAtomic != hdr.BAtomic || gotHdr.WriteThreshold != hdr.WriteThreshold || gotHdr.SpGEMM != hdr.SpGEMM {
+	if !reflect.DeepEqual(gotHdr, hdr) {
 		t.Fatalf("header round-trip: got %+v, want %+v", gotHdr, hdr)
 	}
-	if !bytes.Equal(serializeATM(t, am), aBytes) {
-		t.Fatal("A operand did not round-trip byte-identically")
-	}
-	if !bytes.Equal(serializeATM(t, bm), bBytes) {
-		t.Fatal("B operand did not round-trip byte-identically")
+	for i, want := range []*core.ATMatrix{a, b} {
+		ref := gotHdr.Inline[i]
+		m, err := decodeShard(ref.ShardKey, ref.CRC, inline[i])
+		if err != nil {
+			t.Fatalf("decoding inline payload %d: %v", i, err)
+		}
+		if !bytes.Equal(serializeATM(t, m), serializeATM(t, want)) {
+			t.Fatalf("inline payload %d did not round-trip byte-identically", i)
+		}
 	}
 }
 
 func TestExecFrameRejectsBadHeader(t *testing.T) {
-	r, _, err := execFrameReader(execHeader{BAtomic: 12}, nil, nil, nil)
+	r, _, err := execFrameReader(execHeader{BAtomic: 12}, nil)
 	if err != nil {
 		t.Fatalf("execFrameReader: %v", err)
 	}
-	if _, _, _, _, err := readExecFrame(r); err == nil {
+	if _, _, err := readExecFrame(r); err == nil {
 		t.Fatal("readExecFrame accepted non-power-of-two b_atomic")
 	}
 }

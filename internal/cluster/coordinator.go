@@ -11,17 +11,17 @@ import (
 
 	"atmatrix/internal/catalog"
 	"atmatrix/internal/core"
-	"atmatrix/internal/sched"
 )
 
 // Coordinator owns the worker registry, the replicated shard catalog and
 // the distribution of multiplications: plan globally (band grid + write
-// threshold), execute against pre-replicated catalog shards by reference
-// (falling back to the legacy per-multiply 2D wire-ship partition for
-// unsharded operands), dispatch with retries/re-routing/hedging, and merge
-// the streamed partial-product frames under a bounded reassembly window.
-// Install Multiply as service.Options.Distribute to put it behind the
-// admission queue.
+// threshold), cut one task per tile-row shard of the left operand, resolve
+// both operands through shard references (pre-replicated catalog shards by
+// key, unsharded operands through a per-multiply map whose shards ride
+// inline), dispatch with retries/re-routing/hedging, and merge the streamed
+// partial-product frames under a bounded reassembly window. Install
+// Multiply as service.Options.Distribute to put it behind the admission
+// queue.
 type Coordinator struct {
 	cfg  core.Config
 	opts Options
@@ -246,11 +246,10 @@ func (c *Coordinator) aliveTeams() []*RemoteTeam {
 	return alive
 }
 
-// task is one unit of distributed work: one shard of A × one span of B —
-// either resolved from the workers' shard stores by reference (the
-// sharded-catalog path) or pre-encoded wire payloads (the legacy
-// per-multiply partition). The shard matrices are kept for the
-// last-resort local execution.
+// task is one unit of distributed work: one tile-row shard of A × all of
+// B, both resolved through shard references — from the workers' stores
+// where they hold the shard, inline otherwise. The shard matrices are kept
+// for the last-resort local execution.
 //
 // Shard tiles are the ORIGINAL tiles, never split at band cuts: the
 // dynamic optimizer's cost model reads whole-tile densities, so a split
@@ -262,27 +261,23 @@ func (c *Coordinator) aliveTeams() []*RemoteTeam {
 type task struct {
 	owner      int // index into the alive-team snapshot
 	aMat, bMat *core.ATMatrix
-	aBytes     []byte
-	bBytes     []byte
-	// aRefs/bRefs resolve the operands from worker shard stores; holders
-	// records each referenced shard's durable replica set and src
-	// regenerates payloads for inline cache fills.
+	// aRefs/bRefs resolve the operands; holders records each referenced
+	// shard's durable replica set (empty for per-multiply shards) and src
+	// supplies the payloads of shards a worker does not hold.
 	aRefs   []shardRef
 	bRefs   []shardRef
 	holders map[ShardKey]map[string]bool
 	src     *shardSource
 	nRows   int // tile-rows covered, the tiles_rerouted unit
-	// keepRow and keepCol hold the band Lo coordinates of the owned
-	// (tile-row × column-chunk) region; result tiles always sit exactly on
-	// band origins, so membership is exact.
+	// keepRow holds the band Lo coordinates of the owned tile-rows; result
+	// tiles always sit exactly on band origins, so membership is exact.
 	keepRow map[int]bool
-	keepCol map[int]bool
 }
 
 // keep reports whether a returned product tile belongs to this task's
-// owned region (rather than spill-over from a band-spanning shard tile).
+// owned tile-rows (rather than spill-over from a band-spanning shard tile).
 func (t *task) keep(tile *core.Tile) bool {
-	return t.keepRow[tile.Row0] && t.keepCol[tile.Col0]
+	return t.keepRow[tile.Row0]
 }
 
 // refs lists every shard reference the task's operands resolve through.
@@ -295,8 +290,9 @@ func (t *task) refs() []shardRef {
 
 // Multiply executes C = A·B across the cluster, falling back to local
 // execution when no workers can serve. The operand names select the
-// catalog shard maps ("" or an unsharded name falls back to wire-shipping
-// the operands). It satisfies the service.Options.Distribute contract.
+// catalog shard maps; "" or an unsharded name gets a per-multiply map
+// whose shards ride inline. It satisfies the service.Options.Distribute
+// contract.
 func (c *Coordinator) Multiply(aName, bName string, a, b *core.ATMatrix, opts core.MultOptions) (*core.ATMatrix, *core.MultStats, error) {
 	alive := c.aliveTeams()
 	if len(alive) == 0 ||
@@ -343,12 +339,6 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 	tasks, err := c.buildShardTasks(aName, bName, a, b, alive)
 	if err != nil {
 		return nil, nil, err
-	}
-	if tasks == nil {
-		tasks, err = c.buildTasks(a, b, len(alive))
-		if err != nil {
-			return nil, nil, err
-		}
 	}
 	stats.EstimateTime = time.Since(t0)
 
@@ -397,7 +387,7 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 	}
 
 	// Merge: the per-frame filtering already restricted every partial to
-	// its task's owned disjoint (tile-row × column-chunk) region and
+	// its task's owned disjoint tile-row region and
 	// re-homed the tiles — assembly is a band-grid sort, the same
 	// (Row0, Col0) order the local operator emits its result slots in.
 	var tiles []*core.Tile
@@ -425,146 +415,6 @@ func (c *Coordinator) multiplyDistributed(aName, bName string, a, b *core.ATMatr
 	}
 	stats.WallTime = time.Since(wallStart)
 	return out, stats, nil
-}
-
-// buildTasks cuts the operands into the legacy per-multiply 2D shard
-// grid: the round-robin owner of each of A's tile-rows
-// (sched.PlaceRoundRobin — placement and its dead-home routing live in
-// the scheduler, so the cluster provably shares the local §III-F policy)
-// crossed with contiguous column chunks of B, every operand wire-shipped.
-// This is the fallback for operands without catalog shard maps. Shards
-// carry whole original tiles (see task), so a band-spanning tile lands in
-// every shard it overlaps and nothing is ever cut in the contraction
-// direction — every worker runs the exact contraction windows, kernels
-// and accumulation order of the local operator.
-func (c *Coordinator) buildTasks(a, b *core.ATMatrix, workers int) ([]*task, error) {
-	rowBands := a.RowBands()
-	colBands := b.ColBands()
-	queues, ok := sched.PlaceRoundRobin(len(rowBands), workers, nil)
-	if !ok {
-		return nil, fmt.Errorf("cluster: no home for %d tile-rows", len(rowBands))
-	}
-
-	// Column chunks: contiguous runs of column bands, one per worker by
-	// default so the 2D grid gives re-routing and hedging sub-multiply
-	// granularity.
-	chunks := c.opts.ColChunks
-	if chunks <= 0 {
-		chunks = workers
-	}
-	if chunks > len(colBands) {
-		chunks = len(colBands)
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	chunkOf := func(band int) int { return band * chunks / len(colBands) }
-	bChunkTiles := make([][]*core.Tile, chunks)
-	for _, t := range b.Tiles {
-		first, last := bandRange(colBands, t.Col0, t.Col0+t.Cols)
-		for cc := chunkOf(first); cc <= chunkOf(last); cc++ {
-			bChunkTiles[cc] = append(bChunkTiles[cc], t)
-		}
-	}
-	bChunk := make([]*core.ATMatrix, chunks)
-	bBytes := make([][]byte, chunks)
-	keepCol := make([]map[int]bool, chunks)
-	for tj, band := range colBands {
-		cc := chunkOf(tj)
-		if keepCol[cc] == nil {
-			keepCol[cc] = make(map[int]bool)
-		}
-		keepCol[cc][band.Lo] = true
-	}
-	for cc, ts := range bChunkTiles {
-		if len(ts) == 0 {
-			continue
-		}
-		m, err := core.NewFromTiles(b.Rows, b.Cols, b.BAtomic, ts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building B chunk %d: %w", cc, err)
-		}
-		enc, err := encodeMatrix(m)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: encoding B chunk %d: %w", cc, err)
-		}
-		bChunk[cc], bBytes[cc] = m, enc
-	}
-
-	// A shards, one per worker owning at least one non-empty tile-row. A
-	// tile spanning several bands joins every owner's shard.
-	ownerOf := make(map[int]int, len(rowBands)) // band index -> owner
-	for w, q := range queues {
-		for _, ti := range q {
-			ownerOf[int(ti)] = w
-		}
-	}
-	aShardTiles := make([][]*core.Tile, workers)
-	rowsCovered := make([]map[int]bool, workers)
-	for _, t := range a.Tiles {
-		first, last := bandRange(rowBands, t.Row0, t.Row0+t.Rows)
-		seen := -1
-		for band := first; band <= last; band++ {
-			w := ownerOf[band]
-			if rowsCovered[w] == nil {
-				rowsCovered[w] = make(map[int]bool)
-			}
-			rowsCovered[w][band] = true
-			if w != seen {
-				aShardTiles[w] = append(aShardTiles[w], t)
-				seen = w
-			}
-		}
-	}
-	// Dedup: with >2 owners a tile can reach the same shard twice through
-	// non-adjacent bands; membership must be unique for NewFromTiles.
-	for w := range aShardTiles {
-		ts := aShardTiles[w]
-		uniq := ts[:0]
-		last := map[*core.Tile]bool{}
-		for _, t := range ts {
-			if !last[t] {
-				last[t] = true
-				uniq = append(uniq, t)
-			}
-		}
-		aShardTiles[w] = uniq
-	}
-
-	var tasks []*task
-	for w, ts := range aShardTiles {
-		if len(ts) == 0 {
-			continue
-		}
-		m, err := core.NewFromTiles(a.Rows, a.Cols, a.BAtomic, ts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: building A shard %d: %w", w, err)
-		}
-		enc, err := encodeMatrix(m)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: encoding A shard %d: %w", w, err)
-		}
-		keepRow := make(map[int]bool, len(rowsCovered[w]))
-		for band := range rowsCovered[w] {
-			if ownerOf[band] == w {
-				keepRow[rowBands[band].Lo] = true
-			}
-		}
-		for cc := 0; cc < chunks; cc++ {
-			if bChunk[cc] == nil {
-				continue
-			}
-			tasks = append(tasks, &task{
-				owner: w,
-				aMat:  m, bMat: bChunk[cc],
-				aBytes: enc, bBytes: bBytes[cc],
-				nRows:   len(keepRow),
-				keepRow: keepRow,
-				keepCol: keepCol[cc],
-			})
-		}
-	}
-	return tasks, nil
 }
 
 // attemptResult is one exec attempt's outcome, tagged with the worker
@@ -711,10 +561,11 @@ func (c *Coordinator) keepTiles(t *task, tiles []*core.Tile, into []*core.Tile) 
 // to the same worker under capped exponential backoff; permanent ones
 // return immediately so the caller re-routes. Transport-level failures
 // count against the worker's health exactly like missed heartbeats.
-// Referenced shards the worker already holds travel as keys; the rest are
-// inlined — and a 409 cache miss triggers one immediate re-send per shard
-// with the missing payloads attached, which on success makes the worker a
-// (cached) holder for subsequent multiplies.
+// Referenced shards the worker already holds travel as keys; the rest —
+// every per-multiply shard among them — are inlined, and a 409 cache miss
+// triggers one immediate re-send per shard with the missing payloads
+// attached, which on success makes the worker a (cached) holder of the
+// cataloged ones for subsequent multiplies.
 func (c *Coordinator) execOnWorker(ctx context.Context, rt *RemoteTeam, hdr execHeader, t *task) ([]*core.Tile, int64, error) {
 	refs := t.refs()
 	forceInline := make(map[ShardKey]bool)
@@ -755,7 +606,7 @@ func (c *Coordinator) execOnWorker(ctx context.Context, rt *RemoteTeam, hdr exec
 			kept = c.keepTiles(t, m.Tiles, kept)
 			return nil
 		}
-		contribs, err := rt.exec(rctx, hdr2, inlineData, t.aBytes, t.bBytes, acquire, onFrame)
+		contribs, err := rt.exec(rctx, hdr2, inlineData, acquire, onFrame)
 		cancel()
 		if err == nil {
 			c.observeHealth(rt, true)

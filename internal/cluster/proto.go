@@ -16,19 +16,19 @@ import (
 //	JSON execHeader
 //	for each header Inline entry, in order:
 //	    int64 payload length, then that many bytes of shard .atm stream
-//	int64 aLen, then aLen bytes of A-operand .atm stream (0 = resolve
-//	    the A operand from the header's a_refs against the shard store)
-//	int64 bLen, then bLen bytes of B-operand .atm stream (0 = from b_refs)
 //
-// Reference-first is the normal sharded-catalog path: operands that were
-// previously replicated to the worker travel as (name, generation, shard)
-// keys plus a CRC fingerprint instead of megabytes of tiles. Inline
-// payloads piggyback shard bytes the worker is missing (a 409 told the
-// coordinator so) and are durably stored before execution, turning the
-// retry into a cache fill. The .atm streams carry their own CRC-32C
-// footers, so a flipped bit anywhere in an operand payload fails the
-// decode with core.ErrChecksum (or a typed core.TileError naming the
-// damaged tile) rather than producing a silently wrong shard product.
+// Both operands always resolve through the header's shard references.
+// References the worker already holds (replicated cataloged shards) travel
+// as (name, generation, shard) keys plus a CRC fingerprint instead of
+// megabytes of tiles; every other referenced shard rides inline. Inline
+// payloads are either cache fills of cataloged shards the worker is
+// missing (a 409 told the coordinator so), which the worker stores before
+// execution, or the shards of a per-multiply map (generation
+// perMultiplyGen), which it decodes for this request only. Every payload
+// is checked against its declared CRC-32C, and the .atm streams carry
+// their own CRC-32C footers, so a flipped bit anywhere in an operand
+// payload fails with core.ErrChecksum (or a typed core.TileError naming
+// the damaged tile) rather than producing a silently wrong shard product.
 //
 // A successful response is the product streamed as length-prefixed
 // per-tile-row .atm frames (core.WriteTileRowFrames) — the coordinator
@@ -36,9 +36,9 @@ import (
 // instead of buffering whole shard products. Failures are JSON {"error",
 // "corrupt", "transient", "missing_shards"} with a matching status code.
 
-// ShardKey names one stored shard: a cataloged matrix name, the shard-map
-// generation it was cut under, and the shard index. Workers key their
-// stores by it; exec references and inventory reports carry it.
+// ShardKey names one shard: a matrix name, the shard-map generation it was
+// cut under, and the shard index. Workers key their stores by it; exec
+// references and inventory reports carry it.
 type ShardKey struct {
 	Name  string `json:"name"`
 	Gen   int64  `json:"gen"`
@@ -48,6 +48,12 @@ type ShardKey struct {
 func (k ShardKey) String() string {
 	return fmt.Sprintf("%s@%d/%d", k.Name, k.Gen, k.Shard)
 }
+
+// perMultiplyGen is the generation of per-multiply shard maps: an operand
+// without a recorded catalog map is cut afresh for each multiply under
+// it. catalog.NextGeneration never hands it out, so per-multiply keys
+// never collide with cataloged ones, and workers never store them.
+const perMultiplyGen = 0
 
 // shardRef is a shard reference in an exec header: the key to look up plus
 // the CRC/size fingerprint the stored bytes must match — a worker holding
@@ -77,13 +83,12 @@ type execHeader struct {
 	BAtomic        int     `json:"b_atomic"`
 	WriteThreshold float64 `json:"write_threshold"`
 	SpGEMM         int     `json:"spgemm"`
-	// ARefs/BRefs resolve the corresponding operand from the worker's
-	// shard store when its inline length is zero. Multiple refs assemble
+	// ARefs/BRefs resolve the corresponding operand from the frame's
+	// inline payloads or the worker's shard store. Multiple refs assemble
 	// into one operand (all of B's shards for a row-shard task).
 	ARefs []shardRef `json:"a_refs,omitempty"`
 	BRefs []shardRef `json:"b_refs,omitempty"`
-	// Inline declares shard payloads appended to the frame, in order —
-	// cache fills for references this worker was missing.
+	// Inline declares shard payloads appended to the frame, in order.
 	Inline []shardRef `json:"inline,omitempty"`
 }
 
@@ -104,9 +109,8 @@ func encodeMatrix(m *core.ATMatrix) ([]byte, error) {
 }
 
 // execFrameReader returns a reader over the full frame and its length.
-// aBytes/bBytes may be nil when the header references the operand instead;
-// inline payloads must match hdr.Inline one-to-one.
-func execFrameReader(hdr execHeader, inline [][]byte, aBytes, bBytes []byte) (io.Reader, int64, error) {
+// The inline payloads must match hdr.Inline one-to-one.
+func execFrameReader(hdr execHeader, inline [][]byte) (io.Reader, int64, error) {
 	if len(inline) != len(hdr.Inline) {
 		return nil, 0, fmt.Errorf("cluster: %d inline payloads for %d declared refs", len(inline), len(hdr.Inline))
 	}
@@ -122,106 +126,61 @@ func execFrameReader(hdr execHeader, inline [][]byte, aBytes, bBytes []byte) (io
 	pre = append(pre, hj...)
 	parts := []io.Reader{bytes.NewReader(pre)}
 	total := int64(len(pre))
-	appendPayload := func(b []byte) {
-		var ln [8]byte
-		binary.LittleEndian.PutUint64(ln[:], uint64(len(b)))
-		lnCopy := ln
-		parts = append(parts, bytes.NewReader(lnCopy[:]))
-		total += 8
-		if len(b) > 0 {
-			parts = append(parts, bytes.NewReader(b))
-			total += int64(len(b))
-		}
-	}
 	for _, b := range inline {
-		appendPayload(b)
+		ln := binary.LittleEndian.AppendUint64(nil, uint64(len(b)))
+		parts = append(parts, bytes.NewReader(ln), bytes.NewReader(b))
+		total += int64(len(ln) + len(b))
 	}
-	appendPayload(aBytes)
-	appendPayload(bBytes)
 	return io.MultiReader(parts...), total, nil
 }
 
-// readExecFrame decodes one exec request into the header, the raw inline
-// shard payloads (order matching hdr.Inline), and the operand matrices —
-// nil where the frame declared a zero length, meaning the operand resolves
-// from the header's references. Operand streams are decoded through
-// length-bounded readers: core.ReadATMatrix buffers internally, so without
-// the explicit lengths the first decode would swallow bytes of the next
-// stream.
-func readExecFrame(r io.Reader) (execHeader, [][]byte, *core.ATMatrix, *core.ATMatrix, error) {
+// readExecFrame decodes one exec request into the header and the raw
+// inline shard payloads (order matching hdr.Inline). Each payload is read
+// through a reader limited to its declared length, so the buffer grows
+// only with bytes actually received: a frame declaring gigabytes but
+// carrying a few bytes fails short instead of allocating the declaration.
+func readExecFrame(r io.Reader) (execHeader, [][]byte, error) {
 	var hdr execHeader
 	var lenBuf [8]byte
 	if _, err := io.ReadFull(r, lenBuf[:4]); err != nil {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: reading frame header length: %w", err)
+		return hdr, nil, fmt.Errorf("cluster: reading frame header length: %w", err)
 	}
 	hlen := binary.LittleEndian.Uint32(lenBuf[:4])
 	if hlen == 0 || hlen > maxHeaderBytes {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: absurd frame header length %d", hlen)
+		return hdr, nil, fmt.Errorf("cluster: absurd frame header length %d", hlen)
 	}
 	hj := make([]byte, hlen)
 	if _, err := io.ReadFull(r, hj); err != nil {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: reading frame header: %w", err)
+		return hdr, nil, fmt.Errorf("cluster: reading frame header: %w", err)
 	}
 	if err := json.Unmarshal(hj, &hdr); err != nil {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: decoding frame header: %w", err)
+		return hdr, nil, fmt.Errorf("cluster: decoding frame header: %w", err)
 	}
 	if hdr.BAtomic <= 0 || hdr.BAtomic > 1<<20 || hdr.BAtomic&(hdr.BAtomic-1) != 0 {
-		return hdr, nil, nil, nil, fmt.Errorf("cluster: frame header b_atomic %d not a power of two", hdr.BAtomic)
+		return hdr, nil, fmt.Errorf("cluster: frame header b_atomic %d not a power of two", hdr.BAtomic)
 	}
-	readLen := func(which string) (int64, error) {
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return 0, fmt.Errorf("cluster: reading %s length: %w", which, err)
-		}
-		n := int64(binary.LittleEndian.Uint64(lenBuf[:]))
-		if n < 0 || n > maxOperandBytes {
-			return 0, fmt.Errorf("cluster: absurd %s length %d", which, n)
-		}
-		return n, nil
+	if len(hdr.ARefs) == 0 || len(hdr.BRefs) == 0 {
+		return hdr, nil, fmt.Errorf("cluster: frame header references %d A and %d B shards, want both operands", len(hdr.ARefs), len(hdr.BRefs))
 	}
 	inline := make([][]byte, len(hdr.Inline))
 	for i, ref := range hdr.Inline {
-		n, err := readLen("inline shard")
+		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+			return hdr, nil, fmt.Errorf("cluster: reading inline shard %s length: %w", ref.ShardKey, err)
+		}
+		n := int64(binary.LittleEndian.Uint64(lenBuf[:]))
+		if n <= 0 || n > maxOperandBytes {
+			return hdr, nil, fmt.Errorf("cluster: absurd inline shard %s length %d", ref.ShardKey, n)
+		}
+		buf, err := io.ReadAll(io.LimitReader(r, n))
 		if err != nil {
-			return hdr, nil, nil, nil, err
+			return hdr, nil, fmt.Errorf("cluster: reading inline shard %s: %w", ref.ShardKey, err)
 		}
-		if n == 0 {
-			return hdr, nil, nil, nil, fmt.Errorf("cluster: empty inline payload for shard %s", ref.ShardKey)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return hdr, nil, nil, nil, fmt.Errorf("cluster: reading inline shard %s: %w", ref.ShardKey, err)
+		if int64(len(buf)) != n {
+			return hdr, nil, fmt.Errorf("cluster: inline shard %s truncated at %d of %d bytes: %w", ref.ShardKey, len(buf), n, io.ErrUnexpectedEOF)
 		}
 		inline[i] = buf
 	}
-	readOperand := func(which string) (*core.ATMatrix, error) {
-		n, err := readLen(which)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		lr := io.LimitReader(r, n)
-		m, err := core.ReadATMatrix(lr)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: decoding %s: %w", which, err)
-		}
-		// Drain to the declared boundary so the next operand starts
-		// aligned even if the decoder's buffer stopped short of it.
-		if _, err := io.Copy(io.Discard, lr); err != nil {
-			return nil, fmt.Errorf("cluster: draining %s: %w", which, err)
-		}
-		return m, nil
-	}
-	am, err := readOperand("A shard")
-	if err != nil {
-		return hdr, nil, nil, nil, err
-	}
-	bm, err := readOperand("B chunk")
-	if err != nil {
-		return hdr, nil, nil, nil, err
-	}
-	return hdr, inline, am, bm, nil
+	return hdr, inline, nil
 }
 
 // readLimited slurps a payload, rejecting anything over the limit.

@@ -99,11 +99,11 @@ func (e *missingShardsError) Error() string {
 // the failure matrix: rpc.send fails the request before it leaves,
 // rpc.conn fails the transport, rpc.recv fails the response path,
 // rpc.stream fails (or corrupts, via its error kind) an individual frame.
-func (rt *RemoteTeam) exec(ctx context.Context, hdr execHeader, inline [][]byte, aBytes, bBytes []byte, acquire func(n int) (func(), error), onFrame func(*core.ATMatrix) error) (int64, error) {
+func (rt *RemoteTeam) exec(ctx context.Context, hdr execHeader, inline [][]byte, acquire func(n int) (func(), error), onFrame func(*core.ATMatrix) error) (int64, error) {
 	if err := faultinject.Do("rpc.send"); err != nil {
 		return 0, fmt.Errorf("cluster: sending exec to %s: %w", rt.addr, err)
 	}
-	body, n, err := execFrameReader(hdr, inline, aBytes, bBytes)
+	body, n, err := execFrameReader(hdr, inline)
 	if err != nil {
 		return 0, err
 	}
@@ -219,7 +219,12 @@ func (rt *RemoteTeam) dropShards(ctx context.Context, name string, keys []ShardK
 func decodeFailure(addr string, resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	var f rpcFailure
-	if err := json.Unmarshal(raw, &f); err != nil || f.Error == "" {
+	if err := json.Unmarshal(raw, &f); err != nil {
+		// A body that is not a well-formed failure may still have filled
+		// some fields before the decoder gave up: trust none of them.
+		f = rpcFailure{}
+	}
+	if f.Error == "" {
 		f.Error = strings.TrimSpace(string(raw))
 	}
 	if resp.StatusCode == http.StatusConflict && len(f.MissingShards) > 0 {

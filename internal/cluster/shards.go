@@ -16,12 +16,16 @@ import (
 
 // Sharded catalog: instead of re-shipping operand bytes on every multiply,
 // the coordinator cuts each cataloged matrix into tile-row shards at PUT
-// time (the same §III-F round-robin placement the legacy per-multiply path
-// uses), ships every shard to its primary worker AND Replication−1 ring
-// successors, and records the resulting shard map durably in the catalog
-// manifest. Multiplies then reference shards by (name, generation, shard)
-// key; operand bytes cross the wire only as one-time cache fills for
-// workers that report a reference missing. The anti-entropy RepairPass
+// time (cutShards: the §III-F round-robin placement), ships every shard to
+// its primary worker AND Replication−1 ring successors, and records the
+// resulting shard map durably in the catalog manifest. Multiplies then
+// reference shards by (name, generation, shard) key; cataloged operand
+// bytes cross the wire only as one-time cache fills for workers that
+// report a reference missing. An operand without a recorded map (an
+// uncataloged matrix or a stored intermediate not yet sharded) is cut by
+// the same placement for each multiply it takes part in, and its shards
+// ride inline in every exec frame that references them. The anti-entropy
+// RepairPass
 // reconciles the recorded maps against worker-reported, CRC-verified
 // inventories: lost shards are re-replicated back to R from the
 // coordinator's durable copy, corrupt remote copies are dropped and
@@ -100,10 +104,10 @@ func bandRange(bands []core.Band, lo, hi int) (int, int) {
 }
 
 // collectShardTiles gathers the whole original tiles overlapping any of
-// the owned tile-row bands, in the matrix's canonical tile order — the
-// same whole-tile rule as the legacy 2D partitioner (a split tile would
-// steer the dynamic optimizer differently than a local run and break
-// byte-identity), and a deterministic order so a shard's serialized bytes
+// the owned tile-row bands, in the matrix's canonical tile order — whole
+// tiles because a split tile would steer the dynamic optimizer differently
+// than a local run and break byte-identity (see task), and a
+// deterministic order so a shard's serialized bytes
 // regenerate to the same CRC on every pass. The second result holds each
 // collected tile's index in m.Tiles — the canonical-order key a worker
 // needs to splice several shards back together bit-identically.
@@ -147,6 +151,51 @@ func shardSlice(m *core.ATMatrix, bands []int) ([]byte, error) {
 		return nil, err
 	}
 	return encodeMatrix(sm)
+}
+
+// placedShard is one shard of a round-robin cut: the placement slot owning
+// it (an index into the workers the cut was made over), its metadata and
+// its encoded bytes.
+type placedShard struct {
+	slot int
+	meta catalog.ShardMeta
+	data []byte
+}
+
+// cutShards cuts m into tile-row shards by the §III-F round-robin
+// placement over n workers (sched.PlaceRoundRobin — the policy that homes
+// tile-rows on sockets, lifted one level): one shard per worker owning at
+// least one non-empty band, numbered in slot order. Cataloged placement
+// (ShardMatrix) and the per-multiply maps of unsharded operands both cut
+// here.
+func cutShards(m *core.ATMatrix, n int) ([]placedShard, error) {
+	rowBands := m.RowBands()
+	queues, ok := sched.PlaceRoundRobin(len(rowBands), n, nil)
+	if !ok {
+		return nil, fmt.Errorf("no home for %d tile-rows", len(rowBands))
+	}
+	var out []placedShard
+	for w, q := range queues {
+		bands := make([]int, len(q))
+		for i, b := range q {
+			bands[i] = int(b)
+		}
+		sort.Ints(bands)
+		if ts, _ := collectShardTiles(m, bands); len(ts) == 0 {
+			// All owned bands are empty: nothing to hold, nothing to
+			// compute — the shard map simply does not list them.
+			continue
+		}
+		data, err := shardSlice(m, bands)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, placedShard{slot: w, data: data, meta: catalog.ShardMeta{
+			ID: len(out), Bands: bands,
+			CRC32C: core.ChecksumBytes(data), Bytes: int64(len(data)),
+		}})
+	}
+	return out, nil
 }
 
 // AttachCatalog hands the coordinator its shard-map store: recorded maps
@@ -245,10 +294,12 @@ func (c *Coordinator) ShardMatrix(ctx context.Context, name string, m *core.ATMa
 	if len(alive) == 0 {
 		return fmt.Errorf("cluster: sharding %q: no alive workers", name)
 	}
-	rowBands := m.RowBands()
-	queues, ok := sched.PlaceRoundRobin(len(rowBands), len(alive), nil)
-	if !ok {
-		return fmt.Errorf("cluster: sharding %q: no home for %d tile-rows", name, len(rowBands))
+	shards, err := cutShards(m, len(alive))
+	if err != nil {
+		return fmt.Errorf("cluster: sharding %q: %w", name, err)
+	}
+	if len(shards) == 0 {
+		return fmt.Errorf("cluster: sharding %q: matrix has no tiles", name)
 	}
 	repl := c.opts.Replication
 	if repl > len(alive) {
@@ -257,33 +308,12 @@ func (c *Coordinator) ShardMatrix(ctx context.Context, name string, m *core.ATMa
 	gen := cat.NextGeneration()
 	sm := &catalog.ShardMap{Generation: gen, Replication: repl}
 	shipped := 0
-	for w, q := range queues {
-		if len(q) == 0 {
-			continue
-		}
-		bands := make([]int, len(q))
-		for i, b := range q {
-			bands[i] = int(b)
-		}
-		sort.Ints(bands)
-		if ts, _ := collectShardTiles(m, bands); len(ts) == 0 {
-			// All owned bands are empty: nothing to hold, nothing to
-			// compute — the shard map simply does not list them.
-			continue
-		}
-		data, err := shardSlice(m, bands)
-		if err != nil {
-			return fmt.Errorf("cluster: sharding %q: %w", name, err)
-		}
-		id := len(sm.Shards)
-		meta := catalog.ShardMeta{
-			ID: id, Bands: bands,
-			CRC32C: core.ChecksumBytes(data), Bytes: int64(len(data)),
-		}
-		key := ShardKey{Name: name, Gen: gen, Shard: id}
+	for _, s := range shards {
+		meta := s.meta
+		key := ShardKey{Name: name, Gen: gen, Shard: meta.ID}
 		for r := 0; r < repl; r++ {
-			rt := alive[(w+r)%len(alive)]
-			if err := c.shipShard(ctx, rt, key, meta.CRC32C, data); err != nil {
+			rt := alive[(s.slot+r)%len(alive)]
+			if err := c.shipShard(ctx, rt, key, meta.CRC32C, s.data); err != nil {
 				continue
 			}
 			meta.Replicas = append(meta.Replicas, rt.addr)
@@ -293,9 +323,6 @@ func (c *Coordinator) ShardMatrix(ctx context.Context, name string, m *core.ATMa
 			meta.Primary = meta.Replicas[0]
 		}
 		sm.Shards = append(sm.Shards, meta)
-	}
-	if len(sm.Shards) == 0 {
-		return fmt.Errorf("cluster: sharding %q: matrix has no tiles", name)
 	}
 	if shipped == 0 {
 		return fmt.Errorf("cluster: sharding %q: no shard could be placed on any worker", name)
@@ -357,10 +384,14 @@ func (c *Coordinator) shardMapFor(name string) *catalog.ShardMap {
 	return c.shardMaps[name].Clone()
 }
 
-// noteHolder records that a worker verifiably holds a shard (it executed
-// against an inline fill of it) without promoting it to the durable
-// replica set — RepairPass does that after re-verifying the copy.
+// noteHolder records that a worker verifiably holds a cataloged shard (it
+// executed against an inline fill of it) without promoting it to the
+// durable replica set — RepairPass does that after re-verifying the copy.
+// Per-multiply shards are never held.
 func (c *Coordinator) noteHolder(key ShardKey, addr string) {
+	if key.Gen == perMultiplyGen {
+		return
+	}
 	c.shardMu.Lock()
 	defer c.shardMu.Unlock()
 	if _, ok := c.shardMaps[key.Name]; !ok {
@@ -615,9 +646,10 @@ func (c *Coordinator) repairOne(ctx context.Context, cat *catalog.Catalog, name 
 	return repaired, changed, firstErr
 }
 
-// shardSource lazily regenerates shard payloads for inline cache fills,
-// paying each shard's encoding at most once per multiply and verifying
-// every regeneration against the shard map's recorded CRC.
+// shardSource supplies the inline payloads of one multiply: per-multiply
+// shards come pre-encoded from the cut; cataloged shards regenerate
+// lazily for cache fills, each encoded at most once per multiply and
+// verified against the shard map's recorded CRC.
 type shardSource struct {
 	mu    sync.Mutex
 	specs map[ShardKey]shardSpec
@@ -659,36 +691,22 @@ func (s *shardSource) bytes(key ShardKey) ([]byte, error) {
 	return data, nil
 }
 
-// buildShardTasks cuts tasks along the left operand's catalog shard map:
-// one task per shard, owned by the first alive holder, with the right
-// operand referenced shard-by-shard when it is sharded too (the worker
-// reassembles whole B from its store) and wire-shipped once otherwise.
-// Returns nil tasks when A is unsharded or the recorded map no longer
-// matches the matrix's band grid — the legacy per-multiply 2D partition
-// then takes over.
+// buildShardTasks cuts one task per shard of the left operand, owned by
+// the shard's primary if alive, else its first alive replica, else any
+// worker (which gets the shard inlined). A's shard and every shard of B
+// travel by reference — the worker reassembles whole B from B's shards.
 func (c *Coordinator) buildShardTasks(aName, bName string, a, b *core.ATMatrix, alive []*RemoteTeam) ([]*task, error) {
-	aSM := c.shardMapFor(aName)
-	if aSM == nil || len(aSM.Shards) == 0 {
-		return nil, nil
-	}
-	rowBands := a.RowBands()
-	for _, meta := range aSM.Shards {
-		for _, band := range meta.Bands {
-			if band < 0 || band >= len(rowBands) {
-				return nil, nil
-			}
-		}
-	}
-	colBands := b.ColBands()
-	keepCol := make(map[int]bool, len(colBands))
-	for _, band := range colBands {
-		keepCol[band.Lo] = true
-	}
-	addrIdx := make(map[string]int, len(alive))
-	for i, rt := range alive {
-		addrIdx[rt.addr] = i
-	}
 	src := newShardSource()
+	aSM, err := c.operandMap(aName, a, alive, 0, src)
+	if err != nil {
+		return nil, err
+	}
+	// B's per-multiply shard IDs continue after A's, so the two operands'
+	// keys stay distinct within a frame even under equal or empty names.
+	bSM, err := c.operandMap(bName, b, alive, len(aSM.Shards), src)
+	if err != nil {
+		return nil, err
+	}
 	holders := make(map[ShardKey]map[string]bool)
 	addrSet := func(addrs []string) map[string]bool {
 		set := make(map[string]bool, len(addrs))
@@ -697,44 +715,26 @@ func (c *Coordinator) buildShardTasks(aName, bName string, a, b *core.ATMatrix, 
 		}
 		return set
 	}
-
-	// B travels by reference when sharded (all of its shards reassemble
-	// the whole matrix on the worker), by wire otherwise.
 	var bRefs []shardRef
-	var bBytes []byte
-	if bSM := c.shardMapFor(bName); bSM != nil && len(bSM.Shards) > 0 {
-		bBands := b.RowBands()
-		valid := true
-		for _, meta := range bSM.Shards {
-			for _, band := range meta.Bands {
-				if band < 0 || band >= len(bBands) {
-					valid = false
-				}
-			}
-		}
-		if valid {
-			for _, meta := range bSM.Shards {
-				key := ShardKey{Name: bName, Gen: bSM.Generation, Shard: meta.ID}
-				// The worker reassembles whole B from all its shards; the
-				// canonical-order indices let it splice the interleaved
-				// tile-row slices back into the partitioner's emission
-				// order, which the accumulation order (and so bit-identity)
-				// depends on.
-				_, idx := collectShardTiles(b, meta.Bands)
-				bRefs = append(bRefs, shardRef{ShardKey: key, CRC: meta.CRC32C, Bytes: meta.Bytes, TileIdx: idx})
-				src.specs[key] = shardSpec{m: b, bands: meta.Bands, crc: meta.CRC32C}
-				holders[key] = addrSet(meta.Replicas)
-			}
-		}
+	for _, meta := range bSM.Shards {
+		key := ShardKey{Name: bName, Gen: bSM.Generation, Shard: meta.ID}
+		// The canonical-order indices let the worker splice the
+		// interleaved tile-row slices back into the partitioner's emission
+		// order, which the accumulation order (and so bit-identity)
+		// depends on.
+		_, idx := collectShardTiles(b, meta.Bands)
+		bRefs = append(bRefs, shardRef{ShardKey: key, CRC: meta.CRC32C, Bytes: meta.Bytes, TileIdx: idx})
+		holders[key] = addrSet(meta.Replicas)
 	}
-	if bRefs == nil {
-		enc, err := encodeMatrix(b)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: encoding right operand: %w", err)
-		}
-		bBytes = enc
+	if len(bRefs) == 0 {
+		// B has no tiles: neither has the product, and no task is needed.
+		return nil, nil
 	}
-
+	rowBands := a.RowBands()
+	addrIdx := make(map[string]int, len(alive))
+	for i, rt := range alive {
+		addrIdx[rt.addr] = i
+	}
 	var tasks []*task
 	for _, meta := range aSM.Shards {
 		key := ShardKey{Name: aName, Gen: aSM.Generation, Shard: meta.ID}
@@ -742,19 +742,13 @@ func (c *Coordinator) buildShardTasks(aName, bName string, a, b *core.ATMatrix, 
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rebuilding shard %d of %q: %w", meta.ID, aName, err)
 		}
-		src.specs[key] = shardSpec{m: a, bands: meta.Bands, crc: meta.CRC32C}
 		holders[key] = addrSet(meta.Replicas)
-		// Owner: the primary if alive, else the first alive replica, else
-		// any worker (it gets the shard inlined).
-		owner := -1
+		owner := meta.ID % len(alive)
 		for _, addr := range append([]string{meta.Primary}, meta.Replicas...) {
 			if i, ok := addrIdx[addr]; ok {
 				owner = i
 				break
 			}
-		}
-		if owner < 0 {
-			owner = meta.ID % len(alive)
 		}
 		keepRow := make(map[int]bool, len(meta.Bands))
 		for _, band := range meta.Bands {
@@ -763,15 +757,60 @@ func (c *Coordinator) buildShardTasks(aName, bName string, a, b *core.ATMatrix, 
 		tasks = append(tasks, &task{
 			owner: owner,
 			aMat:  aMat, bMat: b,
-			bBytes:  bBytes,
 			aRefs:   []shardRef{{ShardKey: key, CRC: meta.CRC32C, Bytes: meta.Bytes}},
 			bRefs:   bRefs,
 			holders: holders,
 			src:     src,
 			nRows:   len(meta.Bands),
 			keepRow: keepRow,
-			keepCol: keepCol,
 		})
 	}
 	return tasks, nil
+}
+
+// operandMap returns the shard map an operand travels under in one
+// multiply and primes src with its payloads. A recorded catalog map that
+// still matches m's band grid is used as is; its payloads regenerate
+// lazily for cache fills. Otherwise m gets a per-multiply map: cut by
+// cutShards over the alive workers under perMultiplyGen, numbered from
+// firstID, each shard's Primary naming the worker the placement homed it
+// on and its replica set empty, so every exec inlines it and no worker
+// keeps it.
+func (c *Coordinator) operandMap(name string, m *core.ATMatrix, alive []*RemoteTeam, firstID int, src *shardSource) (*catalog.ShardMap, error) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	if sm := c.shardMapFor(name); sm != nil && len(sm.Shards) > 0 && bandsFit(sm, m) {
+		for _, meta := range sm.Shards {
+			key := ShardKey{Name: name, Gen: sm.Generation, Shard: meta.ID}
+			src.specs[key] = shardSpec{m: m, bands: meta.Bands, crc: meta.CRC32C}
+		}
+		return sm, nil
+	}
+	shards, err := cutShards(m, len(alive))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: cutting %q for this multiply: %w", name, err)
+	}
+	sm := &catalog.ShardMap{Generation: perMultiplyGen}
+	for _, s := range shards {
+		meta := s.meta
+		meta.ID += firstID
+		meta.Primary = alive[s.slot].addr
+		src.cache[ShardKey{Name: name, Gen: perMultiplyGen, Shard: meta.ID}] = s.data
+		sm.Shards = append(sm.Shards, meta)
+	}
+	return sm, nil
+}
+
+// bandsFit reports whether every band a shard map records exists in m's
+// tile-row band grid.
+func bandsFit(sm *catalog.ShardMap, m *core.ATMatrix) bool {
+	n := len(m.RowBands())
+	for _, meta := range sm.Shards {
+		for _, band := range meta.Bands {
+			if band < 0 || band >= n {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -455,3 +455,79 @@ func TestMergeGateWindow(t *testing.T) {
 	}
 	relBig()
 }
+
+// TestPerMultiplyShards pins the per-multiply transport of unsharded
+// operands: their shards ride inline and no worker keeps them; the two
+// operands' per-multiply keys never collide, even under empty or equal
+// names; and an unsharded left operand times a sharded right operand (a
+// stored intermediate times a cataloged matrix) is byte-identical to
+// local execution while B still resolves by reference.
+func TestPerMultiplyShards(t *testing.T) {
+	cfg := testCfg()
+	rng := rand.New(rand.NewSource(75))
+	a := partition(t, cfg, mat.RandomCOO(rng, 128, 96, 3000))
+	b := partition(t, cfg, mat.RandomCOO(rng, 96, 112, 2600))
+	rm := partition(t, cfg, mat.RandomCOO(rng, 112, 80, 2200))
+	cat := loadCatalog(t, cfg, map[string]*core.ATMatrix{"r": rm})
+	r := acquireMatrix(t, cat, "r")
+
+	hc := testClient(t)
+	var peers []string
+	var workers []*Worker
+	for i := 0; i < 3; i++ {
+		w := NewWorker(cfg)
+		addr, _ := serveWorker(t, w, nil)
+		peers = append(peers, addr)
+		workers = append(workers, w)
+	}
+	coord := NewCoordinator(cfg, shardedOptions(hc), peers)
+	defer coord.Close()
+	coord.AttachCatalog(cat)
+
+	local, _, err := core.MultiplyOpt(a, b, cfg, core.DefaultMultOptions())
+	if err != nil {
+		t.Fatalf("local multiply: %v", err)
+	}
+	for _, names := range [][2]string{{"", ""}, {"same", "same"}, {"a", "b"}} {
+		dist, _, err := coord.Multiply(names[0], names[1], a, b, core.DefaultMultOptions())
+		if err != nil {
+			t.Fatalf("multiply %q·%q: %v", names[0], names[1], err)
+		}
+		if !bytes.Equal(serializeATM(t, dist), serializeATM(t, local)) {
+			t.Fatalf("multiply %q·%q is not byte-identical to local execution", names[0], names[1])
+		}
+	}
+	for i, w := range workers {
+		if n := w.Store().Len(); n != 0 {
+			t.Fatalf("worker %d keeps %d shards after unsharded multiplies, want 0", i, n)
+		}
+	}
+	if s := coord.Stats(); s.RemoteMultiplies != 3 || s.LocalTasks != 0 || s.ShardRefHits != 0 {
+		t.Fatalf("stats = %+v, want 3 remote multiplies, no local tasks, no reference hits", s)
+	}
+
+	if err := coord.ShardByName(context.Background(), "r"); err != nil {
+		t.Fatalf("sharding r: %v", err)
+	}
+	want, _, err := core.MultiplyOpt(local, r, cfg, core.DefaultMultOptions())
+	if err != nil {
+		t.Fatalf("local P·r: %v", err)
+	}
+	dist, _, err := coord.Multiply("P", "r", local, r, core.DefaultMultOptions())
+	if err != nil {
+		t.Fatalf("distributed P·r: %v", err)
+	}
+	if !bytes.Equal(serializeATM(t, dist), serializeATM(t, want)) {
+		t.Fatal("unsharded P times sharded r is not byte-identical to local execution")
+	}
+	if s := coord.Stats(); s.ShardRefHits == 0 {
+		t.Fatalf("stats = %+v, want r's shards resolved by reference", s)
+	}
+	for i, w := range workers {
+		for _, e := range w.Store().Inventory() {
+			if e.Name != "r" || e.Gen == perMultiplyGen {
+				t.Fatalf("worker %d stored %s; only r's cataloged shards may be kept", i, e.ShardKey)
+			}
+		}
+	}
+}

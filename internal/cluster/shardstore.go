@@ -11,8 +11,9 @@ import (
 // ShardStore is a worker's replica holdings: CRC-verified shard operands
 // keyed by (name, generation, shard). The coordinator fills it at PUT time
 // (placement), during anti-entropy re-replication, and opportunistically
-// through inline exec payloads; exec requests then reference shards by key
-// instead of shipping operand bytes per multiply.
+// through inline exec cache fills; exec requests then reference shards by
+// key instead of shipping operand bytes per multiply. Per-multiply shards
+// (perMultiplyGen) are never stored.
 //
 // The store keeps both the raw .atm bytes (the inventory scrub re-hashes
 // them, and re-serving them to a peer needs them verbatim) and the decoded
@@ -36,20 +37,29 @@ func NewShardStore() *ShardStore {
 	return &ShardStore{shards: make(map[ShardKey]*storedShard)}
 }
 
-// Put verifies and stores one shard. The bytes must hash to wantCRC and
-// decode as a valid ATMAT1 stream — a corrupt upload is rejected (wrapped
-// in core.ErrChecksum for the transport's corrupt classification) and
-// never stored, so the store only ever holds shards that were good on
-// arrival. Re-putting an existing key overwrites it (idempotent
-// re-replication).
-func (s *ShardStore) Put(key ShardKey, wantCRC uint32, data []byte) error {
+// decodeShard verifies one shard payload against its declared CRC and
+// decodes it as an ATMAT1 stream. Failures wrap core.ErrChecksum (or the
+// decoder's typed error) for the transport's corrupt classification.
+func decodeShard(key ShardKey, wantCRC uint32, data []byte) (*core.ATMatrix, error) {
 	if got := core.ChecksumBytes(data); got != wantCRC {
-		return fmt.Errorf("cluster: shard %s upload: %w: payload hashes %08x, expected %08x",
+		return nil, fmt.Errorf("cluster: shard %s payload: %w: hashes %08x, expected %08x",
 			key, core.ErrChecksum, got, wantCRC)
 	}
 	m, err := core.ReadATMatrix(bytes.NewReader(data))
 	if err != nil {
-		return fmt.Errorf("cluster: shard %s upload: %w", key, err)
+		return nil, fmt.Errorf("cluster: shard %s payload: %w", key, err)
+	}
+	return m, nil
+}
+
+// Put verifies and stores one shard (see decodeShard) — a corrupt upload
+// is rejected and never stored, so the store only ever holds shards that
+// were good on arrival. Re-putting an existing key overwrites it
+// (idempotent re-replication).
+func (s *ShardStore) Put(key ShardKey, wantCRC uint32, data []byte) error {
+	m, err := decodeShard(key, wantCRC, data)
+	if err != nil {
+		return err
 	}
 	m.SealChecksums()
 	s.mu.Lock()

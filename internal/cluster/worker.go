@@ -126,14 +126,16 @@ func (w *Worker) HandleShardDrop(rw http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(rw, "{\"dropped\":%d}\n", dropped)
 }
 
-// HandleExec decodes one shard task, resolves referenced operands from the
-// shard store (storing any inline cache fills first), runs the local
-// ATMULT with the coordinator's shipped plan parameters and streams the
-// partial product back as length-prefixed per-tile-row frames. Corrupt
-// operand streams are rejected as 422 with the corrupt marker, so the
-// coordinator can distinguish "this transfer is damaged" from "this
-// worker is failing"; references the store cannot satisfy come back 409
-// with the missing keys, asking the coordinator to inline them.
+// HandleExec decodes one shard task, resolves both operands from the
+// frame's inline payloads and the shard store, runs the local ATMULT with
+// the coordinator's shipped plan parameters and streams the partial
+// product back as length-prefixed per-tile-row frames. Every inline
+// payload is CRC-checked and decoded; cache fills of cataloged shards are
+// stored, per-multiply shards live for this request alone. Corrupt
+// payloads are rejected as 422 with the corrupt marker, so the coordinator
+// can distinguish "this transfer is damaged" from "this worker is
+// failing"; references neither the frame nor the store can satisfy come
+// back 409 with the missing keys, asking the coordinator to inline them.
 func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 	// Chaos hook: the injected error's kind steers the coordinator's
 	// failure handling — transient faults ask for a re-send (503),
@@ -142,46 +144,38 @@ func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 		writeFailure(rw, failureStatus(err), rpcFailure{Error: err.Error(), Transient: isTransient(err)})
 		return
 	}
-	hdr, inline, am, bm, err := readExecFrame(r.Body)
+	hdr, inline, err := readExecFrame(r.Body)
 	if err != nil {
-		f := rpcFailure{Error: err.Error(), Corrupt: isCorrupt(err)}
-		status := http.StatusBadRequest
-		if f.Corrupt {
-			status = http.StatusUnprocessableEntity
-		}
-		writeFailure(rw, status, f)
+		writeFailure(rw, http.StatusBadRequest, rpcFailure{Error: err.Error()})
 		return
 	}
+	perMultiply := make(map[ShardKey]*core.ATMatrix)
 	for i, ref := range hdr.Inline {
-		if err := w.store.Put(ref.ShardKey, ref.CRC, inline[i]); err != nil {
+		if ref.Gen == perMultiplyGen {
+			perMultiply[ref.ShardKey], err = decodeShard(ref.ShardKey, ref.CRC, inline[i])
+		} else {
+			err = w.store.Put(ref.ShardKey, ref.CRC, inline[i])
+		}
+		if err != nil {
 			writeFailure(rw, http.StatusUnprocessableEntity, rpcFailure{Error: err.Error(), Corrupt: true})
 			return
 		}
 	}
-	var missing []ShardKey
-	if am == nil {
-		am, missing, err = w.assemble(hdr.ARefs, missing)
-		if err != nil {
-			writeFailure(rw, http.StatusInternalServerError, rpcFailure{Error: err.Error()})
-			return
-		}
+	am, missing, err := w.assemble(hdr.ARefs, perMultiply, nil)
+	if err != nil {
+		writeFailure(rw, http.StatusInternalServerError, rpcFailure{Error: err.Error()})
+		return
 	}
-	if bm == nil {
-		bm, missing, err = w.assemble(hdr.BRefs, missing)
-		if err != nil {
-			writeFailure(rw, http.StatusInternalServerError, rpcFailure{Error: err.Error()})
-			return
-		}
+	bm, missing, err := w.assemble(hdr.BRefs, perMultiply, missing)
+	if err != nil {
+		writeFailure(rw, http.StatusInternalServerError, rpcFailure{Error: err.Error()})
+		return
 	}
 	if len(missing) > 0 {
 		writeFailure(rw, http.StatusConflict, rpcFailure{
 			Error:         fmt.Sprintf("cluster: %d referenced shards not in store", len(missing)),
 			MissingShards: missing,
 		})
-		return
-	}
-	if am == nil || bm == nil {
-		writeFailure(rw, http.StatusBadRequest, rpcFailure{Error: "cluster: exec frame carries neither operand bytes nor references"})
 		return
 	}
 	select {
@@ -220,24 +214,25 @@ func (w *Worker) HandleExec(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// assemble resolves operand references against the store. Missing keys
-// accumulate into the caller's list (one 409 reports both operands'
-// gaps); with every reference resolved, a multi-shard operand is
-// reassembled by splicing each shard's tiles back to their recorded
-// indices in the full matrix's canonical tile order. The operator
-// accumulates contributions in operand tile order, and the partitioner's
-// emission order is a recursion order no sort over tile coordinates can
-// reconstruct — the shipped indices are what keep a reassembled operand
-// bit-identical to the coordinator's copy. Dedup falls out for free: a
-// band-spanning tile rides in several shards under the same index.
-func (w *Worker) assemble(refs []shardRef, missing []ShardKey) (*core.ATMatrix, []ShardKey, error) {
-	if len(refs) == 0 {
-		return nil, missing, nil
-	}
+// assemble resolves operand references against the request's
+// per-multiply shards and the store. Missing keys accumulate into the
+// caller's list (one 409 reports both operands' gaps); with every
+// reference resolved, a multi-shard operand is reassembled by splicing
+// each shard's tiles back to their recorded indices in the full matrix's
+// canonical tile order. The operator accumulates contributions in operand
+// tile order, and the partitioner's emission order is a recursion order no
+// sort over tile coordinates can reconstruct — the shipped indices are
+// what keep a reassembled operand bit-identical to the coordinator's copy.
+// Dedup falls out for free: a band-spanning tile rides in several shards
+// under the same index.
+func (w *Worker) assemble(refs []shardRef, perMultiply map[ShardKey]*core.ATMatrix, missing []ShardKey) (*core.ATMatrix, []ShardKey, error) {
 	ms := make([]*core.ATMatrix, 0, len(refs))
 	mrefs := make([]shardRef, 0, len(refs))
 	for _, ref := range refs {
-		m, ok := w.store.matrix(ref)
+		m, ok := perMultiply[ref.ShardKey]
+		if !ok {
+			m, ok = w.store.matrix(ref)
+		}
 		if !ok {
 			missing = append(missing, ref.ShardKey)
 			continue

@@ -220,7 +220,6 @@ func MultiplyOpt(a, b *ATMatrix, cfg Config, opts MultOptions) (*ATMatrix, *Mult
 	pool.Stealing = cfg.Stealing
 	pool.RowGrain = cfg.RowGrain
 	pool.Watchdog = opts.Watchdog
-	pool.Ephemeral = cfg.EphemeralWorkers
 	queues := make([][]int32, cfg.Topology.Sockets)
 	for ti := range rowBands {
 		if len(aTilesPerBand[ti]) == 0 {
@@ -471,7 +470,7 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 
 	cfg, opts, est, stats := mc.cfg, mc.opts, mc.est, mc.stats
 	m, n := rb.Len(), cb.Len()
-	ws := stateFor(team, 0, cfg.EphemeralWorkers)
+	ws := stateFor(team, 0)
 	ws.scratch.BeginTask()
 	defer func() {
 		ws.releaseContribs()
@@ -563,7 +562,7 @@ func (mc *mulCtx) multiplyPair(team *sched.Team, rb, cb Band, aTiles, bTiles []*
 	// fields set here.
 	t0 := time.Now()
 	denseFn, sparseFn := ws.rowFns()
-	ws.curTeam, ws.curEph = team, cfg.EphemeralWorkers
+	ws.curTeam = team
 	if targetKind == mat.DenseKind {
 		*dHdr = mat.Dense{Rows: m, Cols: n, Stride: n, Data: make([]float64, m*n)}
 		ws.curD = dHdr

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -82,42 +81,6 @@ func TestConcurrentCancelDeadlineExceeded(t *testing.T) {
 	}
 	if c != nil {
 		t.Fatal("expired multiply returned a result")
-	}
-}
-
-// TestConcurrentCancelEphemeralWorkersReturn cancels a multiply running on
-// the ephemeral (spawn-per-call) scheduler and asserts the spawned workers
-// all exit — the goroutine count returns to its baseline.
-func TestConcurrentCancelEphemeralWorkersReturn(t *testing.T) {
-	a, cfg := cancelOperand(t, 3)
-	cfg.EphemeralWorkers = true
-	base := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	opts := DefaultMultOptions()
-	opts.Ctx = ctx
-	errCh := make(chan error, 1)
-	go func() {
-		_, _, err := MultiplyOpt(a, a, cfg, opts)
-		errCh <- err
-	}()
-	time.Sleep(2 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled multiply returned %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled ephemeral multiply did not return")
-	}
-	// The per-call goroutines must be gone shortly after the call returns.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("goroutines leaked after cancellation: %d > baseline %d", n, base)
 	}
 }
 

@@ -60,11 +60,6 @@ type Config struct {
 	// over-parallelization the paper notes for small, very sparse blocks.
 	// Zero or one means no constraint; DefaultConfig uses DefaultRowGrain.
 	RowGrain int
-	// EphemeralWorkers disables the persistent worker runtime and the
-	// per-worker scratch arenas, restoring the historical spawn-per-call
-	// scheduler. It exists as the baseline for the runtime-reuse ablation
-	// (BenchmarkAblation_Runtime); production paths leave it false.
-	EphemeralWorkers bool
 }
 
 // DefaultRowGrain is the default minimum rows-per-worker of the intra-tile

@@ -57,7 +57,6 @@ func (a *ATMatrix) MatVec(x []float64, cfg Config) ([]float64, error) {
 	y := make([]float64, a.Rows)
 	pool := sched.NewPool(cfg.Topology)
 	pool.RowGrain = cfg.RowGrain
-	pool.Ephemeral = cfg.EphemeralWorkers
 	// Group tiles by home so each team works node-locally; each task
 	// accumulates into a disjoint row range? Tiles in one tile-row share
 	// rows, so serialize per tile-row: build row-band tasks.

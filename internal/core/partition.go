@@ -269,7 +269,6 @@ func (p *partitioner) buildTiles() error {
 	build := func(i int) { tiles[i] = p.buildTile(p.jobs[i]) }
 	if len(p.jobs) >= 4 && p.cfg.Topology.TotalCores() > 1 {
 		pool := sched.NewPool(p.cfg.Topology)
-		pool.Ephemeral = p.cfg.EphemeralWorkers
 		tasks := make([]sched.Task, len(p.jobs))
 		for i := range p.jobs {
 			i := i

@@ -20,7 +20,6 @@ import (
 func flatTeams(cfg Config) (*sched.Pool, int) {
 	pool := sched.NewPool(cfg.Topology)
 	pool.RowGrain = cfg.RowGrain
-	pool.Ephemeral = cfg.EphemeralWorkers
 	return pool, cfg.Topology.TotalCores()
 }
 
@@ -58,7 +57,7 @@ func MulSpSpSp(a, b *mat.CSR, cfg Config) (*mat.CSR, error) {
 		tasks = append(tasks, func(team *sched.Team) {
 			// Tasks execute on the team leader, so its persistent scratch
 			// SPA is exclusively ours for the duration of the task.
-			spa := stateFor(team, 0, cfg.EphemeralWorkers).scratch.SPA()
+			spa := stateFor(team, 0).scratch.SPA()
 			aw := kernels.CSRWin{M: a, Row0: ch.Lo, Rows: ch.Len(), Cols: a.Cols}
 			kernels.SpSpSp(acc, ch.Lo, 0, aw, kernels.FullCSR(b), spa)
 		})

@@ -34,7 +34,6 @@ type workerState struct {
 	curTeam  *sched.Team
 	curD     *mat.Dense
 	curAcc   *kernels.SpAcc
-	curEph   bool
 }
 
 // scratchFootprint tracks the resident bytes of every persistent worker
@@ -44,19 +43,16 @@ type workerState struct {
 var scratchFootprint atomic.Int64
 
 // stateFor returns the worker state for the given team-local worker index:
-// the persistent runtime-owned state when available, or a fresh throwaway
-// one in ephemeral mode (the ablation baseline, which reproduces the
-// historical allocate-per-task behavior) and for ad-hoc teams.
-func stateFor(team *sched.Team, worker int, ephemeral bool) *workerState {
-	if !ephemeral {
-		if slot := team.WorkerLocal(worker); slot != nil {
-			ws, ok := (*slot).(*workerState)
-			if !ok {
-				ws = &workerState{scratch: kernels.NewScratch(), persistent: true}
-				*slot = ws
-			}
-			return ws
+// the persistent runtime-owned state, or a fresh throwaway one for ad-hoc
+// teams without worker slots.
+func stateFor(team *sched.Team, worker int) *workerState {
+	if slot := team.WorkerLocal(worker); slot != nil {
+		ws, ok := (*slot).(*workerState)
+		if !ok {
+			ws = &workerState{scratch: kernels.NewScratch(), persistent: true}
+			*slot = ws
 		}
+		return ws
 	}
 	return &workerState{scratch: kernels.NewScratch()}
 }
@@ -83,7 +79,7 @@ func (ws *workerState) rowFns() (dense, sparse func(lo, hi, worker int)) {
 			}
 		}
 		ws.sparseFn = func(lo, hi, worker int) {
-			wst := stateFor(ws.curTeam, worker, ws.curEph)
+			wst := stateFor(ws.curTeam, worker)
 			acc := ws.curAcc
 			cts := ws.contribs
 			for i := range cts {

@@ -517,7 +517,6 @@ func (e *exec) applyPanel(m *core.ATMatrix, src, dst []float64, w int) error {
 	}
 	pool := sched.NewPool(e.cfg.Topology)
 	pool.RowGrain = e.cfg.RowGrain
-	pool.Ephemeral = e.cfg.EphemeralWorkers
 	pool.Stealing = e.cfg.Stealing
 	pool.Watchdog = e.opts.Mult.Watchdog
 	if _, err := pool.RunCtx(e.opts.Mult.Ctx, queues); err != nil {
@@ -667,7 +666,6 @@ func (e *exec) runRowStream(v *chainNode, mats []*core.ATMatrix) (*core.ATMatrix
 		}
 		pool := sched.NewPool(e.cfg.Topology)
 		pool.RowGrain = e.cfg.RowGrain
-		pool.Ephemeral = e.cfg.EphemeralWorkers
 		pool.Stealing = e.cfg.Stealing
 		pool.Watchdog = e.opts.Mult.Watchdog
 		if _, rerr := pool.RunCtx(e.opts.Mult.Ctx, queues); rerr != nil {

@@ -12,32 +12,25 @@ import (
 // inside a task stops picking up further tasks: with a single team and a
 // queue of N tasks where task K cancels, at most K+1 tasks may execute.
 func TestCancelStopsDrain(t *testing.T) {
-	for _, ephemeral := range []bool{false, true} {
-		name := "persistent"
-		if ephemeral {
-			name = "ephemeral"
+	t.Run("persistent", func(t *testing.T) {
+		p := NewPool(numa.Topology{Sockets: 1, CoresPerSocket: 2})
+		const total, cancelAt = 64, 5
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var executed atomic.Int64
+		items := make([]int32, total)
+		for i := range items {
+			items[i] = int32(i)
 		}
-		t.Run(name, func(t *testing.T) {
-			p := NewPool(numa.Topology{Sockets: 1, CoresPerSocket: 2})
-			p.Ephemeral = ephemeral
-			const total, cancelAt = 64, 5
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var executed atomic.Int64
-			items := make([]int32, total)
-			for i := range items {
-				items[i] = int32(i)
-			}
-			p.RunIndexedCtx(ctx, [][]int32{items}, func(team *Team, item int32) {
-				if executed.Add(1) == cancelAt {
-					cancel()
-				}
-			})
-			if n := executed.Load(); n != cancelAt {
-				t.Fatalf("executed %d tasks, want exactly %d (cancel must stop the drain)", n, cancelAt)
+		p.RunIndexedCtx(ctx, [][]int32{items}, func(team *Team, item int32) {
+			if executed.Add(1) == cancelAt {
+				cancel()
 			}
 		})
-	}
+		if n := executed.Load(); n != cancelAt {
+			t.Fatalf("executed %d tasks, want exactly %d (cancel must stop the drain)", n, cancelAt)
+		}
+	})
 }
 
 // TestCancelStopsStealing checks that cancellation also halts the steal

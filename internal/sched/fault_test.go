@@ -313,20 +313,6 @@ func TestInjectedPanicAtNthTask(t *testing.T) {
 	}
 }
 
-func TestEphemeralPoolPanicIsolated(t *testing.T) {
-	leakcheck.Check(t)
-	p := NewPool(topo(2, 2))
-	p.Ephemeral = true
-	_, err := p.Run([][]Task{{func(team *Team) { panic("ephemeral boom") }}})
-	var tpe *TaskPanicError
-	if !errors.As(err, &tpe) {
-		t.Fatalf("error = %v, want *TaskPanicError", err)
-	}
-	if _, err := p.Run([][]Task{{func(team *Team) {}}}); err != nil {
-		t.Fatalf("ephemeral run after panic failed: %v", err)
-	}
-}
-
 func TestRuntimeCloseReleasesWorkers(t *testing.T) {
 	leakcheck.Check(t)
 	tp := topo(3, 3)

@@ -112,19 +112,16 @@ func TestRunStatsNoStealWithoutFlag(t *testing.T) {
 // TestRunIndexedExecutesEveryItemOnce mirrors TestRunExecutesEveryTaskOnce
 // for the allocation-free indexed form.
 func TestRunIndexedExecutesEveryItemOnce(t *testing.T) {
-	for _, ephemeral := range []bool{false, true} {
-		p := NewPool(topo(3, 2))
-		p.Ephemeral = ephemeral
-		var counts [40]atomic.Int32
-		queues := make([][]int32, 3)
-		for i := 0; i < 40; i++ {
-			queues[i%3] = append(queues[i%3], int32(i))
-		}
-		p.RunIndexed(queues, func(_ *Team, item int32) { counts[item].Add(1) })
-		for i := range counts {
-			if counts[i].Load() != 1 {
-				t.Fatalf("ephemeral=%v: item %d ran %d times", ephemeral, i, counts[i].Load())
-			}
+	p := NewPool(topo(3, 2))
+	var counts [40]atomic.Int32
+	queues := make([][]int32, 3)
+	for i := 0; i < 40; i++ {
+		queues[i%3] = append(queues[i%3], int32(i))
+	}
+	p.RunIndexed(queues, func(_ *Team, item int32) { counts[item].Add(1) })
+	for i := range counts {
+		if counts[i].Load() != 1 {
+			t.Fatalf("item %d ran %d times", i, counts[i].Load())
 		}
 	}
 }
@@ -213,26 +210,6 @@ func TestParallelRowsBalancedChunks(t *testing.T) {
 		if mx-mn > 1 {
 			t.Fatalf("n=%d w=%d: unbalanced chunks %v", tc.n, tc.workers, sizes)
 		}
-	}
-}
-
-// TestEphemeralPoolRuns checks the ablation path end to end.
-func TestEphemeralPoolRuns(t *testing.T) {
-	p := NewPool(topo(2, 2))
-	p.Ephemeral = true
-	var n atomic.Int32
-	queues := make([][]Task, 2)
-	for i := 0; i < 10; i++ {
-		queues[i%2] = append(queues[i%2], func(team *Team) {
-			if team.WorkerLocal(0) != nil {
-				t.Error("ephemeral team has persistent worker slots")
-			}
-			team.ParallelRows(8, func(lo, hi, w int) { n.Add(int32(hi - lo)) })
-		})
-	}
-	p.Run(queues)
-	if n.Load() != 80 {
-		t.Fatalf("covered %d rows, want 80", n.Load())
 	}
 }
 

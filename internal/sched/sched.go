@@ -11,8 +11,7 @@
 // Runtime per topology keeps Sockets × CoresPerSocket worker goroutines
 // alive across calls (see runtime.go), mirroring the paper's reliance on
 // SAP HANA's resident task framework. Pool remains the one-shot façade all
-// operators use; it routes into the shared Runtime unless Ephemeral
-// restores the historical spawn-per-call behavior for ablations.
+// operators use; it routes into the shared Runtime.
 package sched
 
 import (
@@ -43,7 +42,7 @@ type Team struct {
 	Grain int
 
 	// home links a runtime-backed team to its persistent workers; nil for
-	// ad-hoc teams (tests, ephemeral pools), which fall back to spawning.
+	// ad-hoc teams built by tests, which fall back to spawning.
 	home *workerTeam
 }
 
@@ -119,8 +118,8 @@ func (t *Team) ParallelRows(n int, f func(lo, hi, worker int)) {
 		}
 		return
 	}
-	// Ad-hoc path (tests, ephemeral pools): spawn per call as before, with
-	// the same panic-past-the-barrier discipline.
+	// Ad-hoc path (teams built by tests): spawn per call, with the same
+	// panic-past-the-barrier discipline.
 	var wg sync.WaitGroup
 	var shared atomic.Pointer[fanoutPanic]
 	wg.Add(w - 1)
@@ -164,14 +163,8 @@ type Pool struct {
 	// Watchdog, when positive, is the per-task deadline: a task running
 	// longer marks its team degraded and fails the run with a
 	// *WatchdogError instead of blocking the caller forever. Zero
-	// disables the watchdog. Only the persistent runtime enforces it;
-	// Ephemeral pools ignore the knob.
+	// disables the watchdog.
 	Watchdog time.Duration
-	// Ephemeral restores the historical spawn-per-call scheduler: every
-	// Run starts fresh goroutines and no persistent worker state is
-	// reused. It exists as the ablation baseline for the persistent
-	// runtime and the per-worker scratch arenas.
-	Ephemeral bool
 }
 
 // NewPool returns a pool over the given topology.
@@ -198,15 +191,7 @@ func (p *Pool) Run(queues [][]Task) (RunStats, error) { return p.RunCtx(nil, que
 // nil ctx means an uncancellable run. Cancellation is reported by the
 // caller inspecting ctx, not through the returned error.
 func (p *Pool) RunCtx(ctx context.Context, queues [][]Task) (RunStats, error) {
-	if !p.Ephemeral {
-		return RuntimeFor(p.topo).RunCtx(ctx, queues, p.runOpts())
-	}
-	s := p.topo.Sockets
-	folded := make([][]Task, s)
-	for i, q := range queues {
-		folded[i%s] = append(folded[i%s], q...)
-	}
-	return p.runEphemeral(&runReq{folded: folded, stealing: p.Stealing, grain: p.RowGrain, ctx: ctx})
+	return RuntimeFor(p.topo).RunCtx(ctx, queues, p.runOpts())
 }
 
 // RunIndexed executes queues of item ids through one shared task function
@@ -218,67 +203,11 @@ func (p *Pool) RunIndexed(queues [][]int32, run func(team *Team, item int32)) (R
 
 // RunIndexedCtx is RunIndexed with a cancellation context (see RunCtx).
 func (p *Pool) RunIndexedCtx(ctx context.Context, queues [][]int32, run func(team *Team, item int32)) (RunStats, error) {
-	if !p.Ephemeral {
-		return RuntimeFor(p.topo).RunIndexedCtx(ctx, queues, run, p.runOpts())
-	}
-	s := p.topo.Sockets
-	folded := make([][]int32, s)
-	for i, q := range queues {
-		folded[i%s] = append(folded[i%s], q...)
-	}
-	return p.runEphemeral(&runReq{items: folded, run: run, stealing: p.Stealing, grain: p.RowGrain, ctx: ctx})
+	return RuntimeFor(p.topo).RunIndexedCtx(ctx, queues, run, p.runOpts())
 }
 
 func (p *Pool) runOpts() RunOpts {
 	return RunOpts{Stealing: p.Stealing, Grain: p.RowGrain, Watchdog: p.Watchdog}
-}
-
-// runEphemeral is the pre-runtime implementation: one goroutine per socket
-// per call, teams without persistent backing. Task panics are isolated the
-// same way as on the persistent runtime; the watchdog is not enforced
-// (ephemeral teams exist only as the ablation baseline).
-func (p *Pool) runEphemeral(req *runReq) (RunStats, error) {
-	s := p.topo.Sockets
-	req.next = make([]atomic.Int64, s)
-	var wg sync.WaitGroup
-	for sock := 0; sock < s; sock++ {
-		wg.Add(1)
-		go func(sock int) {
-			defer wg.Done()
-			team := &Team{Socket: numa.Node(sock), Workers: p.topo.CoresPerSocket, Grain: p.RowGrain}
-			// Drain the local queue first.
-			for {
-				if req.aborted() {
-					return
-				}
-				i := int(req.next[sock].Add(1) - 1)
-				if i >= req.queueLen(sock) {
-					break
-				}
-				req.safeExec(sock, i, team)
-			}
-			if !p.Stealing {
-				return
-			}
-			// Steal round-robin from the other sockets.
-			for off := 1; off < s; off++ {
-				victim := (sock + off) % s
-				for {
-					if req.aborted() {
-						return
-					}
-					i := int(req.next[victim].Add(1) - 1)
-					if i >= req.queueLen(victim) {
-						break
-					}
-					req.safeExec(victim, i, team)
-					req.stolen.Add(1)
-				}
-			}
-		}(sock)
-	}
-	wg.Wait()
-	return RunStats{Stolen: req.stolen.Load()}, req.firstErr()
 }
 
 // RunFlat distributes a flat task list round-robin across sockets and
